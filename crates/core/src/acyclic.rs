@@ -179,22 +179,18 @@ fn step2(
     for &e in ebar_order {
         sub_db.push(db[e].clone());
     }
-    let sub_db = dist_full_reduce(net, &sub_q, sub_db, next_seed(seed));
+    let mut sub_db = dist_full_reduce(net, &sub_q, sub_db, next_seed(seed)).into_iter();
     // (2.1) R'(e0) = R(e0) ⋉ R^H(e_j): the reduce above already applied it
     // (the full reducer semi-joins e0 with every neighbour).
-    // (2.2) Join everything except leaf j, starting from R'(e0).
-    let mut acc = sub_db[0].clone();
-    for (i, _) in leaves.iter().enumerate() {
-        if i == j {
-            continue;
-        }
-        acc = binary_join(net, acc, sub_db[1 + i].clone(), seed);
-    }
-    for (idx, _) in ebar_order.iter().enumerate() {
-        acc = binary_join(net, acc, sub_db[1 + leaves.len() + idx].clone(), seed);
+    // (2.2) Join everything except leaf j, starting from R'(e0), then Ē.
+    let mut acc = sub_db.next().expect("sub-join holds e0");
+    let mut leaf_rels: Vec<DistRelation> = sub_db.by_ref().take(leaves.len()).collect();
+    let heavy = leaf_rels.remove(j);
+    for rel in leaf_rels.into_iter().chain(sub_db) {
+        acc = binary_join(net, acc, rel, seed);
     }
     // (2.3) Finish with the heavy leaf.
-    let out = binary_join(net, acc, sub_db[1 + j].clone(), seed);
+    let out = binary_join(net, acc, heavy, seed);
     out.normalized_keep_extras()
 }
 

@@ -609,33 +609,6 @@ fn re_root(
     (parents, bfs)
 }
 
-impl DistRelation {
-    /// Like [`DistRelation::normalized`] but keeps extra trailing columns.
-    pub(crate) fn normalized_keep_extras(&self) -> DistRelation {
-        let mut order: Vec<usize> = (0..self.attrs.len()).collect();
-        order.sort_by_key(|&i| self.attrs[i]);
-        let attrs: Vec<Attr> = order.iter().map(|&i| self.attrs[i]).collect();
-        let parts = Partitioned::from_parts(
-            self.parts
-                .iter()
-                .map(|part| {
-                    part.iter()
-                        .map(|t| {
-                            let full: Vec<usize> = order
-                                .iter()
-                                .copied()
-                                .chain(self.attrs.len()..t.arity())
-                                .collect();
-                            t.project(&full)
-                        })
-                        .collect()
-                })
-                .collect(),
-        );
-        DistRelation { attrs, parts }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -85,10 +85,26 @@ impl DistRelation {
 
     /// Normalize the column order to ascending attribute id (free local op);
     /// extra trailing columns are dropped.
-    pub fn normalized(&self) -> DistRelation {
-        let mut attrs = self.attrs.clone();
-        attrs.sort_unstable();
-        self.project(&attrs)
+    pub fn normalized(self) -> DistRelation {
+        self.normalize_columns(false)
+    }
+
+    /// Like [`DistRelation::normalized`] but keeps extra trailing columns.
+    pub(crate) fn normalized_keep_extras(self) -> DistRelation {
+        self.normalize_columns(true)
+    }
+
+    /// Project every tuple to the ascending layout, computing the column
+    /// order once and reusing the shard vectors; an already-ascending layout
+    /// is returned untouched.
+    fn normalize_columns(self, keep_extras: bool) -> DistRelation {
+        let (attrs, order) =
+            crate::local::normal_order(&self.attrs, self.parts.iter().flatten(), keep_extras);
+        let parts = match order {
+            Some(order) => self.parts.map(|_, t| t.project(&order)),
+            None => self.parts,
+        };
+        DistRelation { attrs, parts }
     }
 
     /// Merge another relation with the same schema shard-wise (free).
@@ -381,5 +397,58 @@ mod tests {
         let n = rel.normalized();
         assert_eq!(n.attrs, vec![0, 2]);
         assert_eq!(n.parts[0][0], Tuple::from([3, 7]));
+    }
+
+    fn rel(attrs: Vec<Attr>, parts: Vec<Vec<Tuple>>) -> DistRelation {
+        DistRelation {
+            attrs,
+            parts: Partitioned::from_parts(parts),
+        }
+    }
+
+    #[test]
+    fn normalized_keep_extras_carries_trailing_columns() {
+        // Layout (C, A, B) plus two annotation columns, 5 values a row:
+        // the boxed side of the inline boundary.
+        let r = rel(
+            vec![2, 0, 1],
+            vec![
+                vec![Tuple::from([30, 10, 20, 7, 8])],
+                vec![
+                    Tuple::from([31, 11, 21, 9, 6]),
+                    Tuple::from([32, 12, 22, 5, 4]),
+                ],
+            ],
+        );
+        let n = r.clone().normalized_keep_extras();
+        assert_eq!(n.attrs, vec![0, 1, 2]);
+        assert_eq!(
+            n.parts.parts(),
+            &[
+                vec![Tuple::from([10, 20, 30, 7, 8])],
+                vec![
+                    Tuple::from([11, 21, 31, 9, 6]),
+                    Tuple::from([12, 22, 32, 5, 4])
+                ],
+            ]
+        );
+        // `normalized` drops the extras, down to inline width.
+        let d = r.normalized();
+        assert_eq!(d.attrs, vec![0, 1, 2]);
+        assert_eq!(d.parts[1][1], Tuple::from([12, 22, 32]));
+    }
+
+    #[test]
+    fn normalized_keep_extras_identity_and_empty() {
+        // Already ascending: returned untouched, extras included.
+        let parts = vec![vec![Tuple::from([1, 2, 99])], vec![]];
+        let n = rel(vec![3, 5], parts.clone()).normalized_keep_extras();
+        assert_eq!(n.attrs, vec![3, 5]);
+        assert_eq!(n.parts.parts(), &parts[..]);
+        // An empty relation still gets the ascending schema.
+        let e = rel(vec![4, 1, 2], vec![vec![], vec![], vec![]]).normalized_keep_extras();
+        assert_eq!(e.attrs, vec![1, 2, 4]);
+        assert_eq!(e.parts.p(), 3);
+        assert!(e.parts.is_empty());
     }
 }

@@ -51,7 +51,7 @@ pub fn solve_with(
     dist: DistDatabase,
     seed: &mut u64,
 ) -> DistRelation {
-    let bag_db = materialize_bags(net, q, ghd, &dist, seed);
+    let bag_db = materialize_bags(net, q, ghd, dist, seed);
     let bag_q = ghd.bag_query(q);
     yannakakis(net, &bag_q, bag_db, None, seed)
 }
@@ -59,13 +59,16 @@ pub fn solve_with(
 /// Materialize every bag of `ghd` as a distributed relation (columns in
 /// ascending attribute order, matching `ghd.bag_query(q)`'s layouts).
 /// Multi-edge bags cost one WCOJ round each; single-edge bags are free.
+/// The bags partition the edges, so every relation moves into exactly one.
 pub fn materialize_bags(
     net: &mut aj_mpc::Net,
     q: &Query,
     ghd: &Ghd,
-    dist: &DistDatabase,
+    dist: DistDatabase,
     seed: &mut u64,
 ) -> DistDatabase {
+    let mut dist: Vec<Option<DistRelation>> = dist.into_iter().map(Some).collect();
+    let mut take = |e: usize| dist[e].take().expect("GHD bags partition the edges");
     ghd.edges_of
         .iter()
         .enumerate()
@@ -73,10 +76,10 @@ pub fn materialize_bags(
             let rel = if let [e] = es[..] {
                 // A single-edge bag is the relation itself; normalizing the
                 // column order is a free local operation.
-                dist[e].normalized()
+                take(e).normalized()
             } else {
                 let (sub_q, kept) = q.restrict(EdgeSet::from_iter(es.iter().copied()));
-                let sub_dist: DistDatabase = kept.iter().map(|&e| dist[e].clone()).collect();
+                let sub_dist: DistDatabase = kept.iter().map(|&e| take(e)).collect();
                 leapfrog_join(net, &sub_q, sub_dist, next_seed(seed))
             };
             if net.tracing_enabled() {

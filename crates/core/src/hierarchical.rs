@@ -315,10 +315,9 @@ fn case1(
                 by_group.entry(g).or_insert_with(|| vec![Vec::new(); m])[e as usize].push(t);
             }
             let mut out = Vec::new();
-            let mut groups: Vec<u64> = by_group.keys().copied().collect();
-            groups.sort_unstable();
-            for g in groups {
-                let rels = &by_group[&g];
+            let mut groups: Vec<(u64, Vec<Vec<Tuple>>)> = by_group.into_iter().collect();
+            groups.sort_unstable_by_key(|&(g, _)| g);
+            for (_, rels) in groups {
                 if rels.iter().any(Vec::is_empty) {
                     continue;
                 }
@@ -328,7 +327,7 @@ fn case1(
                     .zip(rels)
                     .map(|(e, tuples)| LocalRel {
                         attrs: e.attrs.clone(),
-                        tuples: tuples.clone(),
+                        tuples,
                     })
                     .collect();
                 let (attrs, tuples) = multiway_join(&locals);

@@ -131,17 +131,41 @@ pub fn multiway_join(rels: &[LocalRel]) -> (Vec<Attr>, Vec<Tuple>) {
 }
 
 /// Normalize multiway-join output to ascending attribute order, keeping any
-/// extra trailing columns in place.
+/// extra trailing columns in place. The column order is computed once and
+/// each tuple is projected into the reused vector; an already-ascending
+/// layout is returned untouched.
 pub fn normalize(attrs: &[Attr], tuples: Vec<Tuple>) -> (Vec<Attr>, Vec<Tuple>) {
+    let (sorted_attrs, order) = normal_order(attrs, tuples.iter(), true);
+    let tuples = match order {
+        Some(order) => tuples.into_iter().map(|t| t.project(&order)).collect(),
+        None => tuples,
+    };
+    (sorted_attrs, tuples)
+}
+
+/// The ascending layout of `attrs` and the column order that produces it
+/// from a relation's `tuples` — extra trailing columns kept in place if
+/// `keep_extras`, else dropped. The order is `None` when it is the identity
+/// (no column moves). Computed once per relation, never per tuple: every
+/// tuple must have the arity of the first.
+pub(crate) fn normal_order<'a>(
+    attrs: &[Attr],
+    mut tuples: impl Iterator<Item = &'a Tuple>,
+    keep_extras: bool,
+) -> (Vec<Attr>, Option<Vec<usize>>) {
+    let arity = tuples.next().map_or(attrs.len(), Tuple::arity);
+    debug_assert!(
+        tuples.all(|t| t.arity() == arity),
+        "normalization requires one arity per relation"
+    );
     let mut order: Vec<usize> = (0..attrs.len()).collect();
     order.sort_by_key(|&i| attrs[i]);
-    let arity = tuples.first().map(Tuple::arity).unwrap_or(attrs.len());
-    let full_order: Vec<usize> = order.iter().copied().chain(attrs.len()..arity).collect();
-    let sorted_attrs: Vec<Attr> = order.iter().map(|&i| attrs[i]).collect();
-    (
-        sorted_attrs,
-        tuples.iter().map(|t| t.project(&full_order)).collect(),
-    )
+    let sorted_attrs = order.iter().map(|&i| attrs[i]).collect();
+    if keep_extras {
+        order.extend(attrs.len()..arity);
+    }
+    let identity = order.len() == arity && order.iter().copied().eq(0..arity);
+    (sorted_attrs, (!identity).then_some(order))
 }
 
 #[cfg(test)]

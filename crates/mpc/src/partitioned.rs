@@ -121,11 +121,16 @@ impl<T> Partitioned<T> {
     }
 
     /// Merge another partitioned collection shard-wise (free; both must have
-    /// the same number of shards).
+    /// the same number of shards): `other`'s items follow `self`'s. A shard
+    /// of `other` landing on an empty shard is moved, not copied.
     pub fn union(mut self, other: Partitioned<T>) -> Partitioned<T> {
         assert_eq!(self.parts.len(), other.parts.len());
         for (mine, theirs) in self.parts.iter_mut().zip(other.parts) {
-            mine.extend(theirs);
+            if mine.is_empty() {
+                *mine = theirs;
+            } else {
+                mine.extend(theirs);
+            }
         }
         self
     }

@@ -5,14 +5,16 @@
 pub type Value = u64;
 
 /// Widest tuple stored inline (no heap allocation). Join keys are 1–2
-/// values and most relation tuples 2–3, so the hot paths never box.
-const INLINE: usize = 3;
+/// values, most relation tuples 2–3, and the output rows of 3-relation
+/// acyclic joins (line-3, star3) and weighted binary delta rows 4, so the
+/// hot paths never box.
+const INLINE: usize = 4;
 
 /// An immutable fixed-arity tuple.
 ///
 /// Tuples are *atomic* in the paper's tuple-based model: algorithms move and
-/// copy them whole. Tuples of arity ≤ 3 are stored **inline** (clone = a
-/// 32-byte copy, no allocation); wider tuples fall back to a boxed slice.
+/// copy them whole. Tuples of arity ≤ 4 are stored **inline** (clone = a
+/// 40-byte copy, no allocation); wider tuples fall back to a boxed slice.
 /// `Eq`/`Ord`/`Hash` are defined on the value sequence alone, so the two
 /// representations are indistinguishable — in particular `Hash` matches the
 /// std slice hash, which the `Borrow<[Value]>` lookup contract requires.
@@ -25,6 +27,10 @@ enum Repr {
 /// See the type-level docs on representation; construct with [`Tuple::new`].
 #[derive(Clone)]
 pub struct Tuple(Repr);
+
+// The inline width sets the size of every tuple moved through the data
+// plane: one tag word plus `INLINE` values.
+const _: () = assert!(std::mem::size_of::<Tuple>() == 40);
 
 impl Tuple {
     /// Create a tuple from values (anything slice-like: `Vec`, array,
@@ -106,7 +112,7 @@ impl Tuple {
 
     /// Build a tuple directly from two concatenated value slices — the
     /// output-assembly fast path of the local hash joins (no intermediate
-    /// scratch, inline result for combined arity ≤ 3).
+    /// scratch, inline result for combined arity ≤ 4).
     #[inline]
     pub fn from_concat(a: &[Value], b: &[Value]) -> Tuple {
         if a.len() + b.len() <= INLINE {
@@ -276,22 +282,60 @@ mod tests {
 
     #[test]
     fn inline_and_boxed_reprs_are_interchangeable() {
-        // Arity 3 is inline, arity 4 boxed; semantics must not differ.
-        let small = Tuple::from([1, 2, 3]);
-        let big = Tuple::from([1, 2, 3, 4]);
-        assert_eq!(small.values(), &[1, 2, 3]);
-        assert_eq!(big.values(), &[1, 2, 3, 4]);
+        // Arity 4 is inline, arity 5 boxed; semantics must not differ.
+        let small = Tuple::from([1, 2, 3, 4]);
+        let big = Tuple::from([1, 2, 3, 4, 5]);
+        assert!(is_inline(&small) && !is_inline(&big));
+        assert_eq!(small.values(), &[1, 2, 3, 4]);
+        assert_eq!(big.values(), &[1, 2, 3, 4, 5]);
         assert!(small < big, "lexicographic prefix ordering");
         // A boxed projection down to inline width equals a fresh inline tuple.
-        assert_eq!(big.project(&[0, 1, 2]), small);
+        assert_eq!(big.project(&[0, 1, 2, 3]), small);
         // Hashing matches the slice hash in both representations.
         use crate::fxhash::FxHashMap;
         let mut m: FxHashMap<Tuple, u8> = FxHashMap::default();
         m.insert(big.clone(), 1);
         m.insert(small.clone(), 2);
-        assert_eq!(m.get([1u64, 2, 3, 4].as_slice()), Some(&1));
-        assert_eq!(m.get([1u64, 2, 3].as_slice()), Some(&2));
+        assert_eq!(m.get([1u64, 2, 3, 4, 5].as_slice()), Some(&1));
+        assert_eq!(m.get([1u64, 2, 3, 4].as_slice()), Some(&2));
         // Concat crossing the inline boundary.
-        assert_eq!(small.concat(&big).values(), &[1, 2, 3, 1, 2, 3, 4]);
+        assert_eq!(small.concat(&big).values(), &[1, 2, 3, 4, 1, 2, 3, 4, 5]);
+    }
+
+    fn is_inline(t: &Tuple) -> bool {
+        matches!(t.0, Repr::Inline(..))
+    }
+
+    /// A seeded Fisher–Yates shuffle of `0..n`.
+    fn shuffled(seed: u64, n: usize) -> Vec<usize> {
+        let mut x = seed | 1;
+        let mut v: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            v.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        v
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 256, ..proptest::ProptestConfig::default() })]
+
+        /// `project` gathers the listed positions for any column
+        /// permutation, or column-dropping prefix of one, at every arity on
+        /// both sides of the inline boundary, and the result is inline
+        /// exactly when it fits.
+        #[test]
+        fn project_gathers_permutations(seed in 0u64..1_000_000, arity in 0usize..9, keep in 0usize..10) {
+            let vals: Vec<Value> = (0..arity as u64).map(|i| (i + 1) * 1_000_003).collect();
+            let t = Tuple::new(vals.clone());
+            let mut order = shuffled(seed, arity);
+            order.truncate(keep);
+            let got = t.project(&order);
+            let want: Vec<Value> = order.iter().map(|&i| vals[i]).collect();
+            proptest::prop_assert_eq!(got.values(), &want[..]);
+            proptest::prop_assert_eq!(is_inline(&got), order.len() <= INLINE);
+        }
     }
 }

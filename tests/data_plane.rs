@@ -377,7 +377,7 @@ fn wire_empty_frames_round_trip() {
     assert_eq!(decoded.arity(), 4);
 }
 
-/// Tuples at the inline/heap representation boundary (arity 3 is the widest
+/// Tuples at the inline/heap representation boundary (arity 4 is the widest
 /// inline tuple) encode identically regardless of which representation the
 /// sender held: the codec sees values, not storage.
 #[test]
@@ -398,4 +398,64 @@ fn wire_tuples_cross_inline_boundary() {
         back.encode(&mut words2);
         assert_eq!(words2, words);
     }
+}
+
+/// `local::normalize` reorders join output to ascending attributes:
+/// trailing extra columns stay put on both sides of the inline boundary, an
+/// already-ascending layout comes back unchanged, and an empty input keeps
+/// the sorted schema.
+#[test]
+fn normalize_keeps_extras_identity_and_empty() {
+    use acyclic_joins::core::local::normalize;
+    for extras in 0..=2u64 {
+        let row = |a: u64| -> Vec<u64> {
+            [a + 20, a, a + 10]
+                .into_iter()
+                .chain((0..extras).map(|x| 900 + x))
+                .collect()
+        };
+        let want = |a: u64| -> Vec<u64> {
+            [a, a + 10, a + 20]
+                .into_iter()
+                .chain((0..extras).map(|x| 900 + x))
+                .collect()
+        };
+        let (attrs, tuples) = normalize(&[7, 2, 5], (0..3).map(|a| Tuple::new(row(a))).collect());
+        assert_eq!(attrs, vec![2, 5, 7]);
+        assert_eq!(
+            tuples,
+            (0..3).map(|a| Tuple::new(want(a))).collect::<Vec<_>>()
+        );
+    }
+    let identity = vec![Tuple::from([1, 2, 3, 4, 5]), Tuple::from([6, 7, 8, 9, 10])];
+    let (attrs, tuples) = normalize(&[0, 4, 9], identity.clone());
+    assert_eq!(attrs, vec![0, 4, 9]);
+    assert_eq!(tuples, identity);
+    let (attrs, tuples) = normalize(&[3, 1], Vec::new());
+    assert_eq!(attrs, vec![1, 3]);
+    assert!(tuples.is_empty());
+}
+
+/// `Partitioned::union` keeps `self`'s items first, then `other`'s, shard by
+/// shard — whether a shard of `self` is empty (moved) or not (extended).
+#[test]
+fn partitioned_union_preserves_order() {
+    use acyclic_joins::mpc::Partitioned;
+    let t = |v: u64| Tuple::from([v, v + 1, v + 2, v + 3, v + 4]);
+    let left = Partitioned::from_parts(vec![vec![], vec![t(1), t(2)], vec![], vec![t(3)]]);
+    let right =
+        Partitioned::from_parts(vec![vec![t(4), t(5)], vec![t(6)], vec![], vec![t(7), t(8)]]);
+    let u = left.union(right);
+    assert_eq!(
+        u.parts(),
+        &[
+            vec![t(4), t(5)],
+            vec![t(1), t(2), t(6)],
+            vec![],
+            vec![t(3), t(7), t(8)]
+        ]
+    );
+    // All-empty left: the result is exactly the right side.
+    let right = Partitioned::from_parts(vec![vec![t(9)], vec![t(10), t(11)]]);
+    assert_eq!(Partitioned::empty(2).union(right.clone()), right);
 }
